@@ -1,11 +1,12 @@
 package qclique
 
-// One benchmark per experiment of DESIGN.md §4 (the paper's quantitative
-// claims — it has no empirical tables, so these regenerate the measured
-// counterpart of each theorem/proposition/lemma). Each benchmark reports
-// the simulated CONGEST-CLIQUE round count via ReportMetric("rounds/op")
-// alongside the usual wall-clock numbers; cmd/experiments renders the same
-// measurements as the tables recorded in EXPERIMENTS.md.
+// One benchmark per experiment of the internal/experiments suite (E1–E12,
+// the paper's quantitative claims — it has no empirical tables, so these
+// regenerate the measured counterpart of each theorem/proposition/lemma).
+// Each benchmark reports the simulated CONGEST-CLIQUE round count via
+// ReportMetric("rounds/op") alongside the usual wall-clock numbers;
+// cmd/experiments renders the same measurements as paper-claim versus
+// measured tables.
 
 import (
 	"errors"
@@ -444,7 +445,7 @@ func BenchmarkSolverCachedResolve(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5): measure the design choices in isolation.
+// --- Ablations: measure the design choices in isolation.
 
 // BenchmarkAblationRouting compares Lemma-1 balanced delivery against
 // direct per-link sending on the ComputePairs Step-1-like load pattern

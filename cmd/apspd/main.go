@@ -22,9 +22,7 @@
 // gracefully: readiness flips to 503, queued solves are shed, in-flight
 // ones finish within -drain-timeout.
 //
-// The unprefixed legacy paths still answer identically, marked with a
-// "Deprecation: true" header and a Link to their /v1 successor. Failures
-// share one envelope: {"error":{"code","message","retryable",…}}.
+// Failures share one envelope: {"error":{"code","message","retryable",…}}.
 //
 // Requests that name no strategy fall to the -strategy default, which is
 // "auto": the service's planner picks the best registered strategy viable
@@ -446,45 +444,12 @@ func selftest(cfg serve.Config) error {
 		return nil
 	}
 
-	// 1. PUT the graph on the /v1 surface, then re-upload through the
-	// legacy unprefixed alias: same content hash, but the alias must mark
-	// itself deprecated and point at its successor.
+	// 1. PUT the graph.
 	var put struct {
 		ID string `json:"id"`
 	}
 	if err := call(http.MethodPut, "/v1/graphs", map[string]any{"n": n, "arcs": arcs}, &put); err != nil {
 		return err
-	}
-	{
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(map[string]any{"n": n, "arcs": arcs}); err != nil {
-			return err
-		}
-		req, err := http.NewRequest(http.MethodPut, base+"/graphs", &buf)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		var legacy struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&legacy)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if legacy.ID != put.ID {
-			return fmt.Errorf("legacy upload hashed to %s, /v1 to %s", legacy.ID, put.ID)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			return fmt.Errorf("legacy alias answered without a Deprecation header")
-		}
-		if link := resp.Header.Get("Link"); !bytes.Contains([]byte(link), []byte("/v1/graphs")) {
-			return fmt.Errorf("legacy alias Link header %q does not name the /v1 successor", link)
-		}
 	}
 
 	// 2. Solve fresh on the sharded transport, then re-solve without naming
@@ -761,7 +726,7 @@ func selftest(cfg serve.Config) error {
 		} `json:"stages"`
 	}
 	retryBody := map[string]any{"strategy": "quantum", "preset": "scaled", "seed": seed}
-	if err := call(http.MethodPost, "/graphs/"+putDeadline.ID+"/solve", retryBody, &afterDeadline); err != nil {
+	if err := call(http.MethodPost, "/v1/graphs/"+putDeadline.ID+"/solve", retryBody, &afterDeadline); err != nil {
 		return err
 	}
 	if afterDeadline.Cached {

@@ -1,12 +1,14 @@
 // Command experiments regenerates the paper-reproduction experiment suite
-// (E1–E12, see DESIGN.md and EXPERIMENTS.md).
+// (E1–E12, one per quantitative claim of the paper; internal/experiments
+// defines them).
 //
 // Usage:
 //
 //	experiments [-exp e1,e4] [-quick] [-seed 42] [-markdown]
 //
 // With no -exp flag every experiment runs. The output is the paper-claim /
-// measured report that EXPERIMENTS.md records.
+// measured report, as plain text or (-markdown) one markdown section per
+// experiment.
 package main
 
 import (
@@ -32,7 +34,7 @@ func run(args []string) error {
 		expList  = fs.String("exp", "", "comma-separated experiment ids (default: all); available: "+strings.Join(experiments.IDs(), ","))
 		quick    = fs.Bool("quick", false, "smaller sweeps")
 		seed     = fs.Uint64("seed", 42, "randomness seed")
-		markdown = fs.Bool("markdown", false, "emit EXPERIMENTS.md-style markdown sections")
+		markdown = fs.Bool("markdown", false, "emit one markdown section per experiment (claim, measurement, table)")
 		strategy = fs.String("strategy", "", "\"list\" enumerates every registered pipeline with its stretch guarantee (experiments otherwise pin their own strategies)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -131,10 +131,17 @@ func TestStrategiesEnumeration(t *testing.T) {
 		t.Fatalf("quantum info wrong: %+v", si)
 	}
 	for alias, want := range map[string]qclique.Strategy{
-		"classical":     qclique.ClassicalSearch,
-		"dolev-listing": qclique.DolevListing,
-		"skeleton":      qclique.ApproxSkeleton,
-		"quantum":       qclique.Quantum,
+		"quantum":          qclique.Quantum,
+		"classical":        qclique.ClassicalSearch,
+		"classical-search": qclique.ClassicalSearch,
+		"dolev":            qclique.DolevListing,
+		"dolev-listing":    qclique.DolevListing,
+		"gossip":           qclique.Gossip,
+		"approx-quantum":   qclique.ApproxQuantum,
+		"skeleton":         qclique.ApproxSkeleton,
+		"approx-skeleton":  qclique.ApproxSkeleton,
+		"auto":             qclique.StrategyAuto,
+		"":                 qclique.Quantum,
 	} {
 		got, err := qclique.ParseStrategy(alias)
 		if err != nil {
@@ -147,5 +154,12 @@ func TestStrategiesEnumeration(t *testing.T) {
 	}
 	if _, err := qclique.ParseStrategy("warp-drive"); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+	// Every registered pipeline's public selector round-trips through its
+	// canonical name.
+	for _, si := range infos {
+		if got, err := qclique.ParseStrategy(si.Name); err != nil || got != si.Strategy {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", si.Name, got, err, si.Strategy)
+		}
 	}
 }

@@ -210,7 +210,7 @@ func TestBroadcastCosts(t *testing.T) {
 	if nw.Metrics().Words != 7*4 {
 		t.Errorf("broadcast words = %d, want 28", nw.Metrics().Words)
 	}
-	nw.ResetMetrics()
+	nw, _ = NewNetwork(5)
 	if err := nw.BroadcastAll("g", 3); err != nil {
 		t.Fatal(err)
 	}
@@ -228,40 +228,32 @@ func TestBroadcastCosts(t *testing.T) {
 	}
 }
 
+// TestMetricsAccumulationAndReset checks that metrics accumulate across
+// phases, that Metrics copies the trace, and that a Snapshot baseline
+// resets the per-stage view: DeltaSince counts only what came after it.
 func TestMetricsAccumulationAndReset(t *testing.T) {
 	nw, _ := NewNetwork(3)
 	if _, err := nw.ExchangeDirect("p1", []Message{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	nw.ChargeLocal("think")
+	base := nw.Snapshot()
 	if _, err := nw.ExchangeDirect("p2", []Message{{Src: 1, Dst: 2, Data: []Word{1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	m := nw.Metrics()
-	if m.Rounds != 3 || m.Phases != 3 || len(m.Trace) != 3 {
+	if m.Rounds != 3 || m.Phases != 2 || len(m.Trace) != 2 {
 		t.Errorf("metrics = %+v", m)
-	}
-	if m.Trace[1].Kind != PhaseLocal || m.Trace[1].Rounds != 0 {
-		t.Errorf("local phase = %+v", m.Trace[1])
 	}
 	// Metrics() must return a copy.
 	m.Trace[0].Label = "mutated"
 	if nw.Metrics().Trace[0].Label == "mutated" {
 		t.Error("Metrics must copy the trace")
 	}
-	nw.ResetMetrics()
-	if nw.Rounds() != 0 || len(nw.Metrics().Trace) != 0 {
-		t.Error("ResetMetrics incomplete")
+	if d := nw.DeltaSince(base); d.Rounds != 2 || d.Phases != 1 || d.Words != 2 {
+		t.Errorf("delta since baseline = %+v, want the p2 phase only", d)
 	}
-}
-
-func TestMetricsAdd(t *testing.T) {
-	var a, b Metrics
-	a.record(PhaseStat{Kind: PhaseDirect, Rounds: 3, Words: 5, MaxLinkLoad: 2})
-	b.record(PhaseStat{Kind: PhaseBalanced, Rounds: 2, Words: 9, MaxLinkLoad: 4})
-	a.Add(b)
-	if a.Rounds != 5 || a.Words != 14 || a.MaxLinkLoad != 4 || a.Phases != 2 {
-		t.Errorf("merged = %+v", a)
+	if d := nw.DeltaSince(nw.Snapshot()); d.Rounds != 0 || d.Phases != 0 || d.Words != 0 {
+		t.Errorf("delta since a fresh baseline = %+v, want zero", d)
 	}
 }
 
@@ -282,7 +274,7 @@ func TestTraceLimit(t *testing.T) {
 }
 
 func TestPhaseKindString(t *testing.T) {
-	for _, k := range []PhaseKind{PhaseDirect, PhaseBalanced, PhaseBroadcast, PhaseLocal} {
+	for _, k := range []PhaseKind{PhaseDirect, PhaseBalanced, PhaseBroadcast} {
 		if strings.HasPrefix(k.String(), "PhaseKind(") {
 			t.Errorf("missing name for kind %d", k)
 		}

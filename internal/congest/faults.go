@@ -3,10 +3,9 @@ package congest
 // Deterministic fault injection on the simulator's communication path.
 //
 // A FaultPlan arms the network with a seed-driven fault schedule consulted
-// at every phase boundary (Exchange, Charge, Broadcast and the textbook
-// primitives; ChargeLocal and ReplayCharge are exempt — the former is
-// node-local, the latter replays a schedule that was measured under the
-// injector). The injector distinguishes two fault classes:
+// at every phase boundary (Exchange, Charge, Broadcast and BroadcastAll;
+// ReplayCharge is exempt — it replays a schedule that was measured under
+// the injector). The injector distinguishes two fault classes:
 //
 //   - Recovered faults are absorbed by the link layer and never reach the
 //     protocol: a dropped message is retransmitted (the phase pays a

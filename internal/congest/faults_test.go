@@ -31,7 +31,7 @@ func chatter(t *testing.T, nw *Network) []Word {
 	if err := nw.Broadcast("t/bcast", 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Gather("t/gather", 0, 3); err != nil {
+	if err := nw.BroadcastAll("t/all", 3); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -203,8 +203,8 @@ func TestCorruptionFailsPhaseAfterCharging(t *testing.T) {
 		t.Errorf("corruption counters: %+v", m.Faults)
 	}
 	// Bulk phases fail the same way.
-	if gerr := nw.Gather("t/g", 0, 2); gerr == nil || !errors.As(gerr, &fe) {
-		t.Errorf("Gather under corruption: %v", gerr)
+	if gerr := nw.Broadcast("t/g", 0, 2); gerr == nil || !errors.As(gerr, &fe) {
+		t.Errorf("Broadcast under corruption: %v", gerr)
 	}
 	if berr := nw.BroadcastAll("t/b", 1); berr == nil || !errors.As(berr, &fe) {
 		t.Errorf("BroadcastAll under corruption: %v", berr)
@@ -279,11 +279,11 @@ func TestFaultCountersFlowThroughDeltaAndAdd(t *testing.T) {
 	if d.Faults.Duplicated != 1 {
 		t.Errorf("delta Duplicated = %d, want 1", d.Faults.Duplicated)
 	}
-	var agg Metrics
-	agg.Add(d)
-	agg.Add(d)
-	if agg.Faults.Duplicated != 2 {
-		t.Errorf("Add did not merge fault counters: %+v", agg.Faults)
+	var agg FaultCounters
+	agg.Add(d.Faults)
+	agg.Add(d.Faults)
+	if agg.Duplicated != 2 {
+		t.Errorf("Add did not merge fault counters: %+v", agg)
 	}
 	if (FaultCounters{Dropped: 1, Corrupted: 2}).Injected() != 3 {
 		t.Error("Injected miscounts")

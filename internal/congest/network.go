@@ -94,7 +94,6 @@ const (
 	PhaseDirect PhaseKind = iota + 1
 	PhaseBalanced
 	PhaseBroadcast
-	PhaseLocal
 )
 
 func (k PhaseKind) String() string {
@@ -105,8 +104,6 @@ func (k PhaseKind) String() string {
 		return "balanced"
 	case PhaseBroadcast:
 		return "broadcast"
-	case PhaseLocal:
-		return "local"
 	default:
 		return fmt.Sprintf("PhaseKind(%d)", int(k))
 	}
@@ -141,18 +138,6 @@ func (m *Metrics) record(st PhaseStat) {
 		m.MaxLinkLoad = st.MaxLinkLoad
 	}
 	m.Trace = append(m.Trace, st)
-}
-
-// Add merges other into m (used to roll up sub-protocol costs).
-func (m *Metrics) Add(other Metrics) {
-	m.Rounds += other.Rounds
-	m.Phases += other.Phases
-	m.Words += other.Words
-	if other.MaxLinkLoad > m.MaxLinkLoad {
-		m.MaxLinkLoad = other.MaxLinkLoad
-	}
-	m.Faults.Add(other.Faults)
-	m.Trace = append(m.Trace, other.Trace...)
 }
 
 // Network is a CONGEST-CLIQUE instance with n nodes.
@@ -351,9 +336,6 @@ func (nw *Network) Snapshot() Metrics {
 
 // Rounds returns the total rounds charged so far.
 func (nw *Network) Rounds() int64 { return nw.metrics.Rounds }
-
-// ResetMetrics clears the accumulated metrics (the topology is unchanged).
-func (nw *Network) ResetMetrics() { nw.metrics = Metrics{} }
 
 func (nw *Network) record(st PhaseStat) {
 	if nw.traceLimit > 0 && len(nw.metrics.Trace) >= nw.traceLimit {
@@ -583,12 +565,6 @@ func (nw *Network) ChargeBalanced(label string, loads []Load) error {
 	return nil
 }
 
-// ChargeLocal records a zero-round bookkeeping phase (local computation),
-// keeping traces readable.
-func (nw *Network) ChargeLocal(label string) {
-	nw.record(PhaseStat{Kind: PhaseLocal, Label: label})
-}
-
 // Broadcast accounts node src sending the same words-long payload to every
 // other node. Every outgoing link of src carries the full payload in
 // parallel, so the phase costs exactly words rounds.
@@ -608,8 +584,8 @@ func (nw *Network) Broadcast(label string, src NodeID, words int64) error {
 	}, words)
 }
 
-// recordBulk records a single-payload bulk phase (broadcast, gather,
-// all-to-all, transpose) through the fault injector: the phase consults
+// recordBulk records a single-payload bulk phase (Broadcast,
+// BroadcastAll) through the fault injector: the phase consults
 // the crash/corruption draws and its one payload takes the per-message
 // draw.
 func (nw *Network) recordBulk(label string, st PhaseStat, words int64) error {

@@ -61,8 +61,7 @@ type Transport interface {
 	// caller. Backends whose Deliver already joins its workers implement it
 	// as a no-op; the Network calls it after every Deliver regardless.
 	Barrier()
-	// Stats returns cumulative transport counters (monotone; use
-	// TransportStats.DeltaSince for per-phase deltas).
+	// Stats returns cumulative transport counters (monotone).
 	Stats() TransportStats
 	// Close releases backend resources (worker shards, arenas). The
 	// transport must not be used after Close; Close is idempotent.
@@ -70,8 +69,8 @@ type Transport interface {
 }
 
 // TransportStats counts the work a transport performed. All counters are
-// cumulative since construction; DeltaSince supports per-phase accounting.
-// The shard-related counters stay zero on single-goroutine backends.
+// cumulative since construction. The shard-related counters stay zero on
+// single-goroutine backends.
 type TransportStats struct {
 	// Transport is the backend name, Shards its worker-shard count
 	// (1 for local).
@@ -88,35 +87,6 @@ type TransportStats struct {
 	// Flushes counts inter-shard batch-buffer flushes (one per non-empty
 	// source-chunk × destination-shard pair per Deliver).
 	Flushes int64 `json:"flushes"`
-}
-
-// DeltaSince returns the counters accumulated after a previously captured
-// baseline. The identity fields (Transport, Shards) are carried over.
-func (s TransportStats) DeltaSince(baseline TransportStats) TransportStats {
-	return TransportStats{
-		Transport:  s.Transport,
-		Shards:     s.Shards,
-		Deliveries: s.Deliveries - baseline.Deliveries,
-		Messages:   s.Messages - baseline.Messages,
-		IntraShard: s.IntraShard - baseline.IntraShard,
-		CrossShard: s.CrossShard - baseline.CrossShard,
-		Flushes:    s.Flushes - baseline.Flushes,
-	}
-}
-
-// Add merges other into s (used to roll up per-solve transport stats).
-func (s *TransportStats) Add(other TransportStats) {
-	if s.Transport == "" {
-		s.Transport = other.Transport
-	}
-	if other.Shards > s.Shards {
-		s.Shards = other.Shards
-	}
-	s.Deliveries += other.Deliveries
-	s.Messages += other.Messages
-	s.IntraShard += other.IntraShard
-	s.CrossShard += other.CrossShard
-	s.Flushes += other.Flushes
 }
 
 // TransportFactory builds a backend for an n-node network. shards is the

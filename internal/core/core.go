@@ -23,77 +23,61 @@ import (
 	"qclique/internal/triangles"
 )
 
-// Strategy selects the APSP pipeline.
-type Strategy int
+// Strategy names an APSP pipeline by its canonical engine registry name —
+// the one strategy identity every layer shares. The registered pipeline
+// answers every question about it (exact or approximate, which FindEdges
+// solver it drives), so nothing keeps a per-strategy table beside it.
+type Strategy string
 
+// The registered pipelines, in AllStrategies order, plus the planner
+// sentinel. The zero value ("") selects StrategyQuantum.
 const (
 	// StrategyQuantum is the paper's Õ(n^{1/4}·log W) pipeline (Theorem 1).
-	StrategyQuantum Strategy = iota + 1
+	StrategyQuantum Strategy = "quantum"
 	// StrategyClassicalSearch is the same pipeline with the classical
 	// O(√n) Step 3 scan: Õ(√n·log W) rounds.
-	StrategyClassicalSearch
+	StrategyClassicalSearch Strategy = "classical-search"
 	// StrategyDolev drives the reductions with Dolev–Lenzen–Peled triangle
 	// listing: Õ(n^{1/3}·log W) rounds, the Censor-Hillel et al.
 	// complexity (the classical state of the art the paper cites).
-	StrategyDolev
+	StrategyDolev Strategy = "dolev"
 	// StrategyGossip is the naive baseline: every node broadcasts its row
 	// (O(n) rounds) and solves locally.
-	StrategyGossip
+	StrategyGossip Strategy = "gossip"
 	// StrategyApproxQuantum is the (1+ε)-approximate squaring chain: the
 	// quantum pipeline with every distance product snapped onto a geometric
 	// value ladder, cutting the per-product binary-search depth from
 	// ⌈log₂(4M+2)⌉ to ⌈log₂(ladder length)⌉ FindEdges calls. Requires
 	// nonnegative weights and Config.Epsilon > 0.
-	StrategyApproxQuantum
+	StrategyApproxQuantum Strategy = "approx-quantum"
 	// StrategyApproxSkeleton is the (2+ε) skeleton strategy in the spirit
 	// of Censor-Hillel et al. (arXiv:1903.05956): exact k-nearest balls, a
 	// sampled-and-patched skeleton solved on the (1+ε/2) ladder, estimates
 	// combined through skeleton hubs. Requires a weight-symmetric
 	// nonnegative graph and Config.Epsilon > 0.
-	StrategyApproxSkeleton
+	StrategyApproxSkeleton Strategy = "approx-skeleton"
 	// StrategyAuto defers the pipeline choice to the serving layer's
 	// planner, which resolves it to a concrete registered strategy before
 	// any pipeline runs. It is a request-level sentinel, not a pipeline:
 	// it has no registry entry, AllStrategies excludes it, and Solve
 	// rejects it unresolved.
-	StrategyAuto
+	StrategyAuto Strategy = "auto"
 )
 
-func (s Strategy) String() string {
-	switch s {
-	case StrategyQuantum:
-		return "quantum"
-	case StrategyClassicalSearch:
-		return "classical-search"
-	case StrategyDolev:
-		return "dolev"
-	case StrategyGossip:
-		return "gossip"
-	case StrategyApproxQuantum:
-		return "approx-quantum"
-	case StrategyApproxSkeleton:
-		return "approx-skeleton"
-	case StrategyAuto:
-		return "auto"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
+func (s Strategy) String() string { return string(s) }
 
 // IsApproximate reports whether the strategy trades exactness for rounds
 // (and therefore requires Config.Epsilon > 0). The registered pipeline is
-// the source of truth; enum values without a registered pipeline are
-// treated as exact (Solve rejects them anyway).
+// the source of truth; names without a registered pipeline are treated as
+// exact (Solve rejects them anyway).
 func (s Strategy) IsApproximate() bool {
-	if st, ok := engine.Lookup(s.String()); ok {
-		return st.Approximate()
-	}
-	return false
+	st, ok := s.Pipeline()
+	return ok && st.Approximate()
 }
 
-// Pipeline returns the registered engine strategy backing this enum value.
+// Pipeline returns the registered engine strategy s names.
 func (s Strategy) Pipeline() (engine.Strategy, bool) {
-	return engine.Lookup(s.String())
+	return engine.Lookup(string(s))
 }
 
 // ErrNegativeCycle mirrors graph.ErrNegativeCycle at the solver level.
@@ -167,7 +151,7 @@ func NewWorkspace() *Workspace {
 }
 
 func (c Config) strategy() Strategy {
-	if c.Strategy == 0 {
+	if c.Strategy == "" {
 		return StrategyQuantum
 	}
 	return c.Strategy
@@ -239,7 +223,7 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 	}
 	strat, registered := cfg.strategy().Pipeline()
 	if !registered {
-		return nil, fmt.Errorf("core: unknown strategy %v", cfg.Strategy)
+		return nil, fmt.Errorf("core: unknown strategy %q", cfg.strategy())
 	}
 	if strat.Approximate() {
 		if !approx.ValidEpsilon(cfg.Epsilon) {
@@ -250,7 +234,7 @@ func SolveContext(ctx context.Context, g *graph.Digraph, cfg Config) (*Result, e
 	}
 	n := g.N()
 	res := &Result{
-		Strategy:          cfg.strategy(),
+		Strategy:          Strategy(strat.Name()),
 		W:                 g.MaxAbsWeight(),
 		Epsilon:           cfg.Epsilon,
 		GuaranteedStretch: strat.Guarantee(cfg.Epsilon),

@@ -172,7 +172,7 @@ func TestSolveScaledParams(t *testing.T) {
 }
 
 func TestSolveUnknownStrategy(t *testing.T) {
-	if _, err := Solve(graph.NewDigraph(2), Config{Strategy: Strategy(99)}); err == nil {
+	if _, err := Solve(graph.NewDigraph(2), Config{Strategy: "no-such-strategy"}); err == nil {
 		t.Error("unknown strategy must fail")
 	}
 }
@@ -185,7 +185,7 @@ func TestStrategyStrings(t *testing.T) {
 		StrategyGossip:          "gossip",
 	} {
 		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
+			t.Errorf("%q.String() = %q", string(s), s.String())
 		}
 	}
 }

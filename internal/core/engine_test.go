@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"qclique/internal/distprod"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/triangles"
@@ -190,35 +192,57 @@ func TestSolveContextDeadlineInsideStage(t *testing.T) {
 	}
 }
 
-// TestStrategyRegistryCoversEveryEnum pins the enum ↔ registry mapping:
-// every Strategy enum value resolves to a registered pipeline whose
-// canonical name round-trips, and the registry holds nothing unmapped.
+// TestStrategyRegistryCoversEveryEnum pins the strategy names against the
+// registry: every production name resolves to a pipeline registered under
+// exactly that canonical name with the right approximate flag, and
+// AllStrategies lists exactly the registered set, in its fixed order
+// (reports key per-strategy metrics by that order).
 func TestStrategyRegistryCoversEveryEnum(t *testing.T) {
+	want := []Strategy{"quantum", "classical-search", "dolev", "gossip", "approx-quantum", "approx-skeleton"}
+	if got := AllStrategies(); !slices.Equal(got, want) {
+		t.Fatalf("AllStrategies() = %v, want %v", got, want)
+	}
 	for _, s := range AllStrategies() {
 		st, ok := s.Pipeline()
 		if !ok {
-			t.Errorf("strategy %v has no registered pipeline", s)
+			t.Errorf("strategy %q has no registered pipeline", s)
 			continue
 		}
-		if st.Name() != s.String() {
-			t.Errorf("strategy %v maps to pipeline %q", s, st.Name())
+		if st.Name() != string(s) {
+			t.Errorf("strategy %q resolves to pipeline %q", s, st.Name())
 		}
-		back, ok := StrategyByName(st.Name())
-		if !ok || back != s {
-			t.Errorf("StrategyByName(%q) = %v, %v; want %v", st.Name(), back, ok, s)
-		}
-		if st.Approximate() != (s == StrategyApproxQuantum || s == StrategyApproxSkeleton) {
-			t.Errorf("strategy %v approximate flag mismatch", s)
+		isApprox := s == StrategyApproxQuantum || s == StrategyApproxSkeleton
+		if st.Approximate() != isApprox || s.IsApproximate() != isApprox {
+			t.Errorf("strategy %q approximate flag mismatch", s)
 		}
 	}
-	for _, st := range engine.Strategies() {
-		if _, ok := StrategyByName(st.Name()); !ok {
-			// Tests may register private strategies; only complain about
-			// the production names.
-			switch st.Name() {
-			case "quantum", "classical-search", "dolev", "gossip", "approx-quantum", "approx-skeleton":
-				t.Errorf("registered strategy %q has no enum", st.Name())
-			}
+	names := make([]string, 0, len(want))
+	for _, s := range AllStrategies() {
+		names = append(names, string(s))
+	}
+	slices.Sort(names)
+	if reg := engine.Names(); !slices.Equal(reg, names) {
+		t.Errorf("registry names %v, AllStrategies %v", reg, names)
+	}
+	if _, ok := StrategyAuto.Pipeline(); ok {
+		t.Error("the auto sentinel must not be a registered pipeline")
+	}
+}
+
+// TestFindEdgesSolverFollowsPipeline pins which strategies carry a
+// FindEdges solver: the three search pipelines, each with its own solver,
+// and nothing else.
+func TestFindEdgesSolverFollowsPipeline(t *testing.T) {
+	want := map[Strategy]distprod.Solver{
+		StrategyQuantum:         distprod.SolverQuantum,
+		StrategyClassicalSearch: distprod.SolverClassicalScan,
+		StrategyDolev:           distprod.SolverDolev,
+	}
+	for _, s := range append(AllStrategies(), StrategyAuto, "no-such-strategy") {
+		got, ok := FindEdgesSolver(s)
+		w, role := want[s]
+		if ok != role || got != w {
+			t.Errorf("FindEdgesSolver(%q) = %v, %v; want %v, %v", s, got, ok, w, role)
 		}
 	}
 }

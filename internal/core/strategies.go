@@ -41,17 +41,7 @@ func init() {
 	engine.Register(gossipPipeline{})
 }
 
-// strategyNames maps canonical registry names back to the Strategy enum —
-// built by enumeration so a new enum value cannot silently miss the map.
-var strategyNames = func() map[string]Strategy {
-	m := make(map[string]Strategy)
-	for _, s := range AllStrategies() {
-		m[s.String()] = s
-	}
-	return m
-}()
-
-// AllStrategies lists every Strategy enum value.
+// AllStrategies lists every registered pipeline name, exact ones first.
 func AllStrategies() []Strategy {
 	return []Strategy{
 		StrategyQuantum, StrategyClassicalSearch, StrategyDolev, StrategyGossip,
@@ -59,11 +49,17 @@ func AllStrategies() []Strategy {
 	}
 }
 
-// StrategyByName resolves a canonical registry name (a Strategy's String
-// form) back to its enum value.
-func StrategyByName(name string) (Strategy, bool) {
-	s, ok := strategyNames[name]
-	return s, ok
+// FindEdgesSolver returns the FindEdges solver the strategy's distance
+// products drive, as fixed by its registration above. It reports false for
+// strategies without a FindEdges role: gossip skips the reduction, and the
+// approximate pipelines are APSP-only.
+func FindEdgesSolver(s Strategy) (distprod.Solver, bool) {
+	st, _ := s.Pipeline()
+	p, ok := st.(*searchPipeline)
+	if !ok {
+		return 0, false
+	}
+	return p.solver, true
 }
 
 // searchPipeline is the FindEdges-driven exact pipeline (Theorem 1 and its

@@ -268,8 +268,11 @@ func (t *tripartiteInstance) ResetThresholdLeg(d *matrix.Matrix) error {
 	return t.g.SetBipartiteBlock(0, t.n, t.n, t.n, t.neg)
 }
 
-// solveFindEdges dispatches one FindEdges call to the configured solver.
-func solveFindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pair]bool, error) {
+// FindEdges dispatches one FindEdges call to the solver opts selects —
+// the one solver → protocol switch behind both the Proposition 2 binary
+// search and the public FindEdges entry point. It returns the reported
+// pairs and the rounds charged on opts.Net (a fresh network when nil).
+func FindEdges(inst triangles.Instance, opts Options, seed uint64) (map[graph.Pair]bool, int64, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -278,9 +281,9 @@ func solveFindEdges(inst triangles.Instance, opts Options, seed uint64) (map[gra
 	case SolverDolev:
 		rep, err := triangles.DolevFindEdgesCtx(ctx, inst, opts.Net)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return rep.Edges, nil
+		return rep.Edges, rep.Rounds, nil
 	case SolverClassicalScan, SolverQuantum:
 		mode := triangles.SearchQuantum
 		if opts.Solver == SolverClassicalScan {
@@ -300,11 +303,11 @@ func solveFindEdges(inst triangles.Instance, opts Options, seed uint64) (map[gra
 			Ctx:     opts.Ctx,
 		})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return rep.Edges, nil
+		return rep.Edges, rep.Rounds, nil
 	default:
-		return nil, fmt.Errorf("distprod: unknown solver %v", opts.Solver)
+		return nil, 0, fmt.Errorf("distprod: unknown solver %v", opts.Solver)
 	}
 }
 
@@ -440,7 +443,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 	if err != nil {
 		return nil, err
 	}
-	edges, err := solveFindEdges(ti, opts, rng.SplitN("step", 0).Seed())
+	edges, _, err := FindEdges(ti, opts, rng.SplitN("step", 0).Seed())
 	if err != nil {
 		return nil, fmt.Errorf("distprod: infinity probe: %w", err)
 	}
@@ -511,7 +514,7 @@ func ProductInto(c *matrix.Matrix, a, b *matrix.Matrix, opts Options) (*Stats, e
 		if err != nil {
 			return nil, err
 		}
-		edges, err = solveFindEdges(ti, opts, rng.SplitN("step", step).Seed())
+		edges, _, err = FindEdges(ti, opts, rng.SplitN("step", step).Seed())
 		if err != nil {
 			return nil, fmt.Errorf("distprod: step %d: %w", step, err)
 		}

@@ -2,9 +2,9 @@
 // paper is a theory paper — its "evaluation" is Theorems 1–3, Propositions
 // 1–5 and Lemmas 1–4, and its five figures are algorithms — so each
 // experiment measures one claim inside the CONGEST-CLIQUE simulator and
-// reports paper-claim versus measured. The experiment IDs (E1…E12) match
-// DESIGN.md and EXPERIMENTS.md; cmd/experiments and the benchmark harness
-// both drive this package.
+// reports paper-claim versus measured. The experiment IDs (E1…E12) are
+// listed by IDs; cmd/experiments and the benchmark harness both drive this
+// package.
 package experiments
 
 import (

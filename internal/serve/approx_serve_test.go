@@ -37,6 +37,14 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("epsilon %v: err = %v, want ErrInvalidSpec", eps, err)
 		}
 	}
+	// A spec names a strategy by its canonical registry name (what
+	// ParseStrategy returns); unknown names and aliases would otherwise
+	// reach the pipeline or split one result across cache keys.
+	for _, name := range []core.Strategy{"no-such-strategy", "classical"} {
+		if _, err := s.SolveGraph(g, SolveSpec{Strategy: name}); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("strategy %q: err = %v, want ErrInvalidSpec", name, err)
+		}
+	}
 	// Path reconstruction is an exact-strategy service: approximate
 	// distances carry no tight-successor structure to walk.
 	ng := testNonnegDigraph(t, 8, 2)

@@ -271,13 +271,10 @@ func errorCode(status int) string {
 	}
 }
 
-// apiPrefix is the current API version mount point. Legacy unprefixed
-// routes stay mounted as aliases for one release, answering with a
-// Deprecation header and a successor-version Link.
+// apiPrefix is the API version mount point every route lives under.
 const apiPrefix = "/v1"
 
-// NewHandler mounts the service's HTTP API under /v1 (legacy unprefixed
-// aliases answer identically plus deprecation headers):
+// NewHandler mounts the service's HTTP API under /v1:
 //
 //	PUT  /v1/graphs                   upload a graph, returns its content id
 //	POST /v1/graphs/{id}/solve        solve (cache-aware), returns round accounting
@@ -294,16 +291,8 @@ const apiPrefix = "/v1"
 // instead of killing the daemon's connection serving.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
-	// handle mounts h at /v1+pattern and at the legacy unprefixed pattern;
-	// the legacy alias advertises its successor so clients can migrate
-	// before the unprefixed routes go away.
 	handle := func(method, pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" "+apiPrefix+pattern, h)
-		mux.HandleFunc(method+" "+pattern, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s%s>; rel=\"successor-version\"", apiPrefix, r.URL.Path))
-			h(w, r)
-		})
 	}
 	handle("PUT", "/graphs", func(w http.ResponseWriter, r *http.Request) {
 		var gj GraphJSON

@@ -1,8 +1,7 @@
 package serve
 
 // Versioned-mount and transport-selection coverage of the HTTP surface:
-// the /v1 prefix answers without deprecation noise, the legacy unprefixed
-// aliases still work but advertise their successor, the transport request
+// every route answers under /v1 and only there, the transport request
 // parameter reaches the simulator and is echoed (and rolled up in
 // /metrics), and concurrent sharded solves are race-clean.
 
@@ -30,7 +29,6 @@ func TestHTTPV1PrefixAndLegacyAliases(t *testing.T) {
 		}
 	}
 
-	// The versioned mount answers without deprecation headers.
 	var put struct {
 		ID string `json:"id"`
 	}
@@ -38,28 +36,10 @@ func TestHTTPV1PrefixAndLegacyAliases(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("PUT /v1/graphs: %d", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route answered with a Deprecation header")
-	}
 
-	// The legacy alias answers identically (same content id) but marks
-	// itself deprecated and links its successor.
-	var legacy struct {
-		ID string `json:"id"`
-	}
-	resp = doJSON(t, srv, http.MethodPut, "/graphs", gj, &legacy)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT /graphs (legacy): %d", resp.StatusCode)
-	}
-	if legacy.ID != put.ID {
-		t.Errorf("legacy upload id %q != /v1 id %q", legacy.ID, put.ID)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation: true")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1/graphs>") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("legacy route Link header %q missing successor-version pointer", link)
+	// The unprefixed legacy aliases are gone: every route lives under /v1.
+	if resp := doJSON(t, srv, http.MethodPut, "/graphs", gj, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("PUT /graphs (legacy alias): %d, want 404", resp.StatusCode)
 	}
 
 	// A solve on the versioned mount with an explicit transport echoes the

@@ -83,26 +83,22 @@ func (p Preset) Params() *triangles.Params {
 }
 
 // ParseStrategy parses a strategy name or alias against the engine's
-// strategy registry (empty selects quantum) — new pipelines become
-// servable by registering, with no switch to grow here. "auto" parses to
-// the planner sentinel core.StrategyAuto: the service resolves it to a
-// concrete registered strategy per request.
+// strategy registry (empty selects quantum) and returns its canonical name
+// — new pipelines become servable by registering, with no switch to grow
+// here. "auto" parses to the planner sentinel core.StrategyAuto: the
+// service resolves it to a concrete registered strategy per request.
 func ParseStrategy(s string) (core.Strategy, error) {
 	if s == "" {
 		return core.StrategyQuantum, nil
 	}
-	if s == "auto" {
+	if s == string(core.StrategyAuto) {
 		return core.StrategyAuto, nil
 	}
 	st, ok := engine.Lookup(s)
 	if !ok {
-		return 0, fmt.Errorf("serve: unknown strategy %q (registered: %s)", s, strings.Join(engine.Names(), ", "))
+		return "", fmt.Errorf("serve: unknown strategy %q (registered: %s)", s, strings.Join(engine.Names(), ", "))
 	}
-	enum, ok := core.StrategyByName(st.Name())
-	if !ok {
-		return 0, fmt.Errorf("serve: registered strategy %q has no core enum", st.Name())
-	}
-	return enum, nil
+	return core.Strategy(st.Name()), nil
 }
 
 // ErrInvalidSpec marks solve specs that are malformed independent of any
@@ -212,7 +208,7 @@ type SolveSpec struct {
 }
 
 func (s SolveSpec) strategy() core.Strategy {
-	if s.Strategy == 0 {
+	if s.Strategy == "" {
 		return core.StrategyQuantum
 	}
 	return s.Strategy
@@ -227,19 +223,24 @@ func (s SolveSpec) ExactPlanning() SolveSpec {
 	return s
 }
 
-// Validate rejects specs whose epsilon disagrees with the strategy class
-// or falls outside the supported [approx.MinEpsilon, approx.MaxEpsilon]
-// domain — before any pipeline (or unbounded ladder construction) runs.
-// For strategy=auto the epsilon is a budget, not a parameter: absent (0)
-// restricts planning to exact candidates, present it must be in the valid
-// domain.
+// Validate rejects specs naming anything but "auto" or a canonical
+// registry name (ParseStrategy canonicalises aliases, so one result never
+// splits across cache keys), and specs whose epsilon disagrees with the
+// strategy class or falls outside the supported [approx.MinEpsilon,
+// approx.MaxEpsilon] domain — before any pipeline (or unbounded ladder
+// construction) runs. For strategy=auto the epsilon is a budget, not a
+// parameter: absent (0) restricts planning to exact candidates, present it
+// must be in the valid domain.
 func (s SolveSpec) Validate() error {
 	if s.strategy() == core.StrategyAuto {
 		if s.Epsilon != 0 && !approx.ValidEpsilon(s.Epsilon) {
 			return fmt.Errorf("%w: auto-strategy epsilon budget must be 0 or in [%v, %v] (got %v)",
 				ErrInvalidSpec, approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
 		}
-	} else if s.strategy().IsApproximate() {
+	} else if st, ok := s.strategy().Pipeline(); !ok || st.Name() != string(s.strategy()) {
+		return fmt.Errorf("%w: unknown strategy %q (registered: %s)",
+			ErrInvalidSpec, s.strategy(), strings.Join(engine.Names(), ", "))
+	} else if st.Approximate() {
 		if !approx.ValidEpsilon(s.Epsilon) {
 			return fmt.Errorf("%w: strategy %q requires epsilon in [%v, %v] (got %v)",
 				ErrInvalidSpec, s.strategy(), approx.MinEpsilon, approx.MaxEpsilon, s.Epsilon)
@@ -297,7 +298,7 @@ type Config struct {
 	// request itself did not opt into Degrade.
 	OverloadDegrade bool
 	// DefaultStrategy is the strategy a request that names none runs under
-	// (spec.Strategy == 0). The zero value preserves the legacy default,
+	// (spec.Strategy == ""). The zero value preserves the legacy default,
 	// quantum; core.StrategyAuto makes the planner the default — cmd/apspd
 	// sets exactly that.
 	DefaultStrategy core.Strategy
@@ -508,7 +509,7 @@ func (s *Service) SolveGraphContext(ctx context.Context, g *graph.Digraph, spec 
 // executes to completion at the planned rung, the observed rounds and wall
 // are folded into the planner's prediction-error accounting.
 func (s *Service) solve(ctx context.Context, id string, g *graph.Digraph, feats graph.Features, spec SolveSpec) (*SolveResult, error) {
-	if spec.Strategy == 0 {
+	if spec.Strategy == "" {
 		spec.Strategy = s.cfg.DefaultStrategy
 	}
 	if err := spec.Validate(); err != nil {

@@ -7,10 +7,12 @@ import (
 )
 
 // productFor dispatches a distance product to the solver selected by the
-// options.
+// options: the row-broadcast product for Gossip, the Proposition 2
+// reduction over the strategy's FindEdges solver otherwise. Gossip with an
+// epsilon falls through to findEdgesSolver, which rejects the epsilon.
 func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
-	if o.Strategy == Gossip {
-		net, err := congest.NewNetwork(maxInt(a.N(), 1),
+	if o.Strategy == Gossip && o.Epsilon == 0 {
+		net, err := congest.NewNetwork(max(a.N(), 1),
 			congest.WithTransport(o.Transport), congest.WithTransportShards(o.Workers))
 		if err != nil {
 			return nil, 0, err
@@ -22,12 +24,9 @@ func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
 		defer net.Close()
 		return c, net.Rounds(), nil
 	}
-	solver := distprod.SolverQuantum
-	switch o.Strategy {
-	case ClassicalSearch:
-		solver = distprod.SolverClassicalScan
-	case DolevListing:
-		solver = distprod.SolverDolev
+	solver, err := o.findEdgesSolver("DistanceProduct")
+	if err != nil {
+		return nil, 0, err
 	}
 	c, stats, err := distprod.Product(a, b, distprod.Options{
 		Solver:  solver,
@@ -39,11 +38,4 @@ func productFor(a, b *matrix.Matrix, o Options) (*matrix.Matrix, int64, error) {
 		return nil, 0, err
 	}
 	return c, stats.Rounds, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

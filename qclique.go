@@ -34,6 +34,7 @@ import (
 
 	"qclique/internal/congest"
 	"qclique/internal/core"
+	"qclique/internal/distprod"
 	"qclique/internal/engine"
 	"qclique/internal/graph"
 	"qclique/internal/matrix"
@@ -86,63 +87,50 @@ const (
 	StrategyAuto
 )
 
+// strategyTable maps each public selector to the registry name of the
+// pipeline it runs (the one strategy identity below this package) and to
+// the label it prints.
+var strategyTable = [...]struct {
+	name  core.Strategy
+	label string
+}{
+	Quantum:         {core.StrategyQuantum, "quantum"},
+	ClassicalSearch: {core.StrategyClassicalSearch, "classical-search"},
+	DolevListing:    {core.StrategyDolev, "dolev-listing"},
+	Gossip:          {core.StrategyGossip, "gossip"},
+	ApproxQuantum:   {core.StrategyApproxQuantum, "approx-quantum"},
+	ApproxSkeleton:  {core.StrategyApproxSkeleton, "approx-skeleton"},
+	StrategyAuto:    {core.StrategyAuto, "auto"},
+}
+
+func (s Strategy) known() bool { return s > 0 && int(s) < len(strategyTable) }
+
 func (s Strategy) String() string {
-	switch s {
-	case Quantum:
-		return "quantum"
-	case ClassicalSearch:
-		return "classical-search"
-	case DolevListing:
-		return "dolev-listing"
-	case Gossip:
-		return "gossip"
-	case ApproxQuantum:
-		return "approx-quantum"
-	case ApproxSkeleton:
-		return "approx-skeleton"
-	case StrategyAuto:
-		return "auto"
-	default:
+	if !s.known() {
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
+	return strategyTable[s].label
 }
 
-func (s Strategy) toCore() core.Strategy {
-	switch s {
-	case ClassicalSearch:
-		return core.StrategyClassicalSearch
-	case DolevListing:
-		return core.StrategyDolev
-	case Gossip:
-		return core.StrategyGossip
-	case ApproxQuantum:
-		return core.StrategyApproxQuantum
-	case ApproxSkeleton:
-		return core.StrategyApproxSkeleton
-	case StrategyAuto:
-		return core.StrategyAuto
-	default:
-		return core.StrategyQuantum
+// name returns the registry name s selects. An unknown selector maps to
+// its printed form, which no pipeline is registered under, so the solve
+// is rejected instead of silently running another strategy.
+func (s Strategy) name() core.Strategy {
+	if !s.known() {
+		return core.Strategy(s.String())
 	}
+	return strategyTable[s].name
 }
 
-func fromCore(s core.Strategy) Strategy {
-	switch s {
-	case core.StrategyClassicalSearch:
-		return ClassicalSearch
-	case core.StrategyDolev:
-		return DolevListing
-	case core.StrategyGossip:
-		return Gossip
-	case core.StrategyApproxQuantum:
-		return ApproxQuantum
-	case core.StrategyApproxSkeleton:
-		return ApproxSkeleton
-	case core.StrategyAuto:
-		return StrategyAuto
-	default:
-		return Quantum
+// strategyFor returns the public selector of a registry name (0 when none
+// selects it).
+func strategyFor(name core.Strategy) Strategy {
+	for s, e := range strategyTable {
+		if e.name == name {
+			return Strategy(s)
+		}
 	}
+	return 0
 }
 
 // StrategyInfo describes one registered pipeline, as enumerated from the
@@ -155,8 +143,8 @@ type StrategyInfo struct {
 	// Approximate reports whether the pipeline requires WithEpsilon.
 	Approximate bool
 	// FindEdges reports whether the strategy names a FindEdges solver of
-	// its own, i.e. is meaningful to FindNegativeTriangleEdges (see
-	// findEdgesRole, which lives next to that dispatch).
+	// its own, i.e. is meaningful to FindNegativeTriangleEdges and
+	// DistanceProduct.
 	FindEdges bool
 }
 
@@ -172,21 +160,22 @@ func (si StrategyInfo) Guarantee(eps float64) float64 {
 
 // Strategies enumerates every registered pipeline, sorted by name. New
 // pipelines appear here (and everywhere the registry is consumed — the
-// serving layer, the cmd tools) by registering with the engine, with no
-// hand-maintained list to grow.
+// serving layer, the cmd tools) by registering with the engine and taking
+// a public selector in strategyTable.
 func Strategies() []StrategyInfo {
 	var out []StrategyInfo
 	for _, st := range engine.Strategies() {
-		enum, ok := core.StrategyByName(st.Name())
-		if !ok {
+		name := core.Strategy(st.Name())
+		pub := strategyFor(name)
+		if pub == 0 {
 			continue
 		}
-		pub := fromCore(enum)
+		_, findEdges := core.FindEdgesSolver(name)
 		out = append(out, StrategyInfo{
 			Strategy:    pub,
 			Name:        st.Name(),
 			Approximate: st.Approximate(),
-			FindEdges:   findEdgesRole(pub),
+			FindEdges:   findEdges,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -211,7 +200,11 @@ func ParseStrategy(name string) (Strategy, error) {
 	if err != nil {
 		return 0, fmt.Errorf("qclique: %w", err)
 	}
-	return fromCore(s), nil
+	pub := strategyFor(s)
+	if pub == 0 {
+		return 0, fmt.Errorf("qclique: strategy %q has no public selector", s)
+	}
+	return pub, nil
 }
 
 // FormatStrategyList renders the strategy catalog as the human-readable
@@ -662,7 +655,7 @@ func SolveAPSPContext(ctx context.Context, g *Digraph, opts ...Option) (*APSPRes
 	ctx, cancel := o.solveCtx(ctx)
 	defer cancel()
 	res, err := core.SolveContext(ctx, g.g, core.Config{
-		Strategy:  o.Strategy.toCore(),
+		Strategy:  o.Strategy.name(),
 		Params:    o.params(),
 		Seed:      o.Seed,
 		Epsilon:   o.Epsilon,
@@ -712,21 +705,19 @@ type TriangleReport struct {
 	Rounds int64
 }
 
-// findEdgesRole reports whether s names a FindEdges solver of its own —
-// the capability StrategyInfo.FindEdges surfaces. It sits next to the
-// FindNegativeTriangleEdges dispatch below, which is the one place the
-// answer is defined: quantum and classical-search drive ComputePairs,
-// dolev drives its own listing; gossip has no triangle machinery (the
-// dispatch would silently fall back to Dolev listing) and the approximate
-// strategies are APSP-only. A new pipeline with a FindEdges role extends
-// both together.
-func findEdgesRole(s Strategy) bool {
-	switch s {
-	case Quantum, ClassicalSearch, DolevListing:
-		return true
-	default:
-		return false
+// findEdgesSolver returns the FindEdges solver of the selected strategy
+// for the entry point op, rejecting any epsilon (neither FindEdges nor the
+// distance product has a stretch knob) and strategies without a solver
+// (StrategyInfo.FindEdges) rather than silently substituting one.
+func (o Options) findEdgesSolver(op string) (distprod.Solver, error) {
+	if o.Epsilon != 0 {
+		return 0, fmt.Errorf("qclique: epsilon %v is not meaningful for %s", o.Epsilon, op)
 	}
+	solver, ok := core.FindEdgesSolver(o.Strategy.name())
+	if !ok {
+		return 0, fmt.Errorf("qclique: strategy %v has no FindEdges role (see StrategyInfo.FindEdges)", o.Strategy)
+	}
+	return solver, nil
 }
 
 // FindNegativeTriangleEdges solves the FindEdges problem of Section 3:
@@ -741,39 +732,17 @@ func FindNegativeTriangleEdges(g *Graph, opts ...Option) (*TriangleReport, error
 		return nil, errors.New("qclique: nil graph")
 	}
 	o := buildOptions(opts)
-	if !findEdgesRole(o.Strategy) {
-		return nil, fmt.Errorf("qclique: strategy %v has no FindEdges role (see StrategyInfo.FindEdges)", o.Strategy)
+	solver, err := o.findEdgesSolver("FindNegativeTriangleEdges")
+	if err != nil {
+		return nil, err
 	}
-	if o.Epsilon != 0 {
-		return nil, fmt.Errorf("qclique: epsilon %v is not meaningful for FindNegativeTriangleEdges", o.Epsilon)
-	}
-	inst := triangles.Instance{G: g.g}
-	var (
-		edges  map[graph.Pair]bool
-		rounds int64
-	)
-	switch o.Strategy {
-	case DolevListing:
-		rep, err := triangles.DolevFindEdges(inst, nil)
-		if err != nil {
-			return nil, err
-		}
-		edges, rounds = rep.Edges, rep.Rounds
-	default:
-		mode := triangles.SearchQuantum
-		if o.Strategy == ClassicalSearch {
-			mode = triangles.SearchClassicalScan
-		}
-		rep, err := triangles.FindEdges(inst, triangles.Options{
-			Params:  o.params(),
-			Mode:    mode,
-			Seed:    o.Seed,
-			Workers: o.Workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		edges, rounds = rep.Edges, rep.Rounds
+	edges, rounds, err := distprod.FindEdges(triangles.Instance{G: g.g}, distprod.Options{
+		Solver:  solver,
+		Params:  o.params(),
+		Workers: o.Workers,
+	}, o.Seed)
+	if err != nil {
+		return nil, err
 	}
 	out := &TriangleReport{Rounds: rounds}
 	for p := range edges {
@@ -786,15 +755,17 @@ func FindNegativeTriangleEdges(g *Graph, opts ...Option) (*TriangleReport, error
 type ProductResult struct {
 	// C[i][j] = min_k (A[i][k] + B[k][j]); Inf marks "no path".
 	C [][]int64
-	// Rounds is the simulated CONGEST-CLIQUE round count (0 when the
-	// reference implementation is selected via Gossip strategy... see doc).
+	// Rounds is the simulated CONGEST-CLIQUE round count: the FindEdges
+	// calls of the Proposition 2 reduction, or the row broadcast of the
+	// Gossip product.
 	Rounds int64
 }
 
 // DistanceProduct computes the min-plus product of two n×n matrices given
 // as row-major slices; use Inf for "no entry". The strategy option selects
 // the FindEdges solver of the Proposition 2 reduction (Gossip selects the
-// naive broadcast product).
+// naive broadcast product). Like FindNegativeTriangleEdges it accepts only
+// strategies with a FindEdges role, plus Gossip, and rejects an epsilon.
 func DistanceProduct(a, b [][]int64, opts ...Option) (*ProductResult, error) {
 	ma, err := matrix.FromRows(a)
 	if err != nil {

@@ -190,6 +190,33 @@ func TestDistanceProductPublic(t *testing.T) {
 	}
 }
 
+// TestDistanceProductRejectsUnsupportedOptions pins that DistanceProduct
+// refuses what it cannot honour instead of silently running the quantum
+// product: strategies without a FindEdges solver (other than Gossip) and
+// any epsilon.
+func TestDistanceProductRejectsUnsupportedOptions(t *testing.T) {
+	a := [][]int64{
+		{0, 2, Inf},
+		{Inf, 0, -1},
+		{4, Inf, 0},
+	}
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{
+		{"approx-skeleton", []Option{WithStrategy(ApproxSkeleton), WithEpsilon(0.5)}},
+		{"approx-quantum", []Option{WithStrategy(ApproxQuantum), WithEpsilon(0.5)}},
+		{"auto", []Option{WithStrategy(StrategyAuto)}},
+		{"quantum+epsilon", []Option{WithStrategy(Quantum), WithEpsilon(0.7)}},
+		{"gossip+epsilon", []Option{WithStrategy(Gossip), WithEpsilon(0.5)}},
+		{"unknown selector", []Option{WithStrategy(Strategy(42))}},
+	} {
+		if res, err := DistanceProduct(a, a, c.opts...); err == nil {
+			t.Errorf("%s: accepted (rounds %d)", c.name, res.Rounds)
+		}
+	}
+}
+
 func TestScaledConstantsPreset(t *testing.T) {
 	d := buildRandomDigraph(t, 16, 21)
 	want := referenceDistances(t, d)
@@ -212,14 +239,24 @@ func TestStrategyString(t *testing.T) {
 		ClassicalSearch: "classical-search",
 		DolevListing:    "dolev-listing",
 		Gossip:          "gossip",
+		ApproxQuantum:   "approx-quantum",
+		ApproxSkeleton:  "approx-skeleton",
+		StrategyAuto:    "auto",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
+		// Every selector round-trips through the name it prints.
+		if back, err := ParseStrategy(s.String()); err != nil || back != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), back, err, s)
+		}
 	}
 	if Strategy(42).String() == "" {
 		t.Error("unknown strategy should still render")
+	}
+	if _, err := SolveAPSP(NewDigraph(2), WithStrategy(Strategy(42))); err == nil {
+		t.Error("unknown strategy selector must be rejected, not run as quantum")
 	}
 }
 

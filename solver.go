@@ -57,7 +57,7 @@ func (s *Solver) merged(opts []Option) Options {
 func (o Options) spec() serve.SolveSpec {
 	o.normalize()
 	return serve.SolveSpec{
-		Strategy:  o.Strategy.toCore(),
+		Strategy:  o.Strategy.name(),
 		Preset:    o.Preset.servePreset(),
 		Seed:      o.Seed,
 		Epsilon:   o.Epsilon,
@@ -98,8 +98,8 @@ func resultFromServe(sr *serve.SolveResult, strategy Strategy) *APSPResult {
 		// The ladder answered with a fallback rung: report the strategy that
 		// actually ran, and the requested one in DegradedFrom.
 		res.Degraded = true
-		res.Strategy = fromCore(sr.Res.Strategy)
-		res.DegradedFrom = fromCore(sr.DegradedFrom)
+		res.Strategy = strategyFor(sr.Res.Strategy)
+		res.DegradedFrom = strategyFor(sr.DegradedFrom)
 		res.DegradeReason = sr.DegradeReason
 	}
 	if sr.Plan != nil {
@@ -107,7 +107,7 @@ func resultFromServe(sr *serve.SolveResult, strategy Strategy) *APSPResult {
 		// (under degradation, the rung — DegradedFrom already names the
 		// planned strategy) and the decision's prediction.
 		res.Planned = true
-		res.Strategy = fromCore(sr.Res.Strategy)
+		res.Strategy = strategyFor(sr.Res.Strategy)
 		res.PlannerReason = sr.Plan.Reason
 		res.PredictedRounds = sr.Plan.PredictedRounds
 		res.PredictedWallNs = sr.Plan.PredictedWallNs
@@ -178,7 +178,7 @@ func (s *Solver) ShortestPath(g *Digraph, src, dst int, opts ...Option) ([]int, 
 		return nil, 0, errors.New("qclique: nil graph")
 	}
 	o := s.merged(opts)
-	if o.Strategy.toCore().IsApproximate() {
+	if o.Strategy.name().IsApproximate() {
 		return nil, 0, ErrApproxPaths
 	}
 	// Path reconstruction needs exact tight-successor structure: confine a
