@@ -1,12 +1,14 @@
 package qclique
 
-// One benchmark per experiment of the internal/experiments suite (E1–E12,
-// the paper's quantitative claims — it has no empirical tables, so these
-// regenerate the measured counterpart of each theorem/proposition/lemma).
-// Each benchmark reports the simulated CONGEST-CLIQUE round count via
-// ReportMetric("rounds/op") alongside the usual wall-clock numbers;
-// cmd/experiments renders the same measurements as paper-claim versus
-// measured tables.
+// Benchmarks for the internal/experiments suite (E1–E12, one per
+// quantitative claim of the paper — it has no empirical tables, so these
+// measure the counterpart of each theorem, proposition and lemma).
+// BenchmarkSuite runs the gated entries that cmd/bench holds to
+// BENCH_1.json, under the same names and on the same inputs; every other
+// benchmark builds its input from the same workload catalog. Each reports
+// the simulated round count (or the claim's own count) via ReportMetric
+// beside the wall-clock numbers; cmd/experiments renders the paper-claim
+// versus measured tables.
 
 import (
 	"errors"
@@ -14,121 +16,35 @@ import (
 	"testing"
 
 	"qclique/internal/congest"
-	"qclique/internal/core"
 	"qclique/internal/distprod"
-	"qclique/internal/graph"
+	"qclique/internal/experiments"
 	"qclique/internal/matrix"
-	"qclique/internal/qsearch"
 	"qclique/internal/quantum"
 	"qclique/internal/triangles"
 	"qclique/internal/xrand"
 )
 
-func benchTriangleGraph(b *testing.B, n int) *graph.Undirected {
-	b.Helper()
-	rng := xrand.New(uint64(n))
-	g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40}, rng)
+// BenchmarkSuite runs every entry of experiments.Suite (the quick subset
+// under -short) as a sub-benchmark named like its cmd/bench report entry.
+// rounds/op is the count at seed 0, the seed cmd/bench pins, so it reads
+// the same as the committed baseline.
+func BenchmarkSuite(b *testing.B) {
+	suite, err := experiments.Suite(testing.Short())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := graph.PlantNegativeTriangles(g, 1+n/16, 30, rng.Split("p")); err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-func benchDigraph(b *testing.B, n int) *graph.Digraph {
-	b.Helper()
-	g, err := graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -8, MaxWeight: 8, NoNegativeCycles: true,
-	}, xrand.New(uint64(n)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkE1APSPQuantum regenerates E1 (Theorem 1): the full quantum APSP
-// pipeline end to end. The n=32 and n=64 cases exist because the hot-path
-// overhaul (incremental tripartite reuse, flat link-load accounting,
-// parallel node-local phases) brought them into benchmarkable range; n=128
-// was unlocked by the allocation-free solve pipeline (per-solve workspace,
-// pooled quantum state, zero-copy matrix ping-pong), which cut the memory
-// per solve by more than an order of magnitude.
-func BenchmarkE1APSPQuantum(b *testing.B) {
-	params := triangles.BenchParams()
-	for _, n := range []int{8, 16, 32, 64, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchDigraph(b, n)
+	for _, entry := range suite {
+		b.Run(entry.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(g, core.Config{Strategy: core.StrategyQuantum, Params: &params, Seed: uint64(i)})
+				out, err := entry.Run(uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
-				rounds = res.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds/op")
-		})
-	}
-}
-
-// BenchmarkE2FindEdgesPromise regenerates E2 (Theorem 2): the
-// FindEdgesWithPromise sweep for the quantum search.
-func BenchmarkE2FindEdgesPromise(b *testing.B) {
-	params := triangles.BenchParams()
-	for _, n := range []int{16, 81, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchTriangleGraph(b, n)
-			b.ReportAllocs()
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				rep, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: uint64(i), Params: &params, Data: triangles.DataDirect,
-				})
-				if err != nil {
-					b.Fatal(err)
+				if i == 0 {
+					rounds = out.Rounds
 				}
-				rounds = rep.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds/op")
-		})
-	}
-}
-
-// BenchmarkE3MultiSearch regenerates E3 (Theorem 3): m truncated parallel
-// searches through a shared evaluation procedure.
-func BenchmarkE3MultiSearch(b *testing.B) {
-	// m must be large enough relative to |X| that the Theorem 3 deviation
-	// bound is negligible; below ~m=2000 with |X|=8 the injected
-	// truncation failure fires with visible probability (by design).
-	for _, m := range []int{4000, 8000} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			const size = 8
-			rng := xrand.New(uint64(m))
-			tables := make([][]bool, m)
-			for i := range tables {
-				tables[i] = make([]bool, size)
-				tables[i][rng.IntN(size)] = true
-			}
-			beta := 8*float64(m)/size + 64
-			var rounds int64
-			for i := 0; i < b.N; i++ {
-				nw, err := congest.NewNetwork(8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := qsearch.MultiSearch(nw, qsearch.Spec{
-					SpaceSize: size, Instances: m, Eval: qsearch.LocalEval(tables, 1), Beta: beta,
-				}, rng.SplitN("i", i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllFound() {
-					b.Fatal("search failed")
-				}
-				rounds = nw.Rounds()
 			}
 			b.ReportMetric(float64(rounds), "rounds/op")
 		})
@@ -139,7 +55,10 @@ func BenchmarkE3MultiSearch(b *testing.B) {
 // fixed FindEdgesWithPromise workload.
 func BenchmarkE4Strategies(b *testing.B) {
 	params := triangles.BenchParams()
-	g := benchTriangleGraph(b, 81)
+	g, err := experiments.TriangleGraph(81, 81)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("quantum", func(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
@@ -183,8 +102,7 @@ func BenchmarkE4Strategies(b *testing.B) {
 // sampling reduction on a hub workload.
 func BenchmarkE5FindEdgesReduction(b *testing.B) {
 	params := triangles.BenchParams()
-	rng := xrand.New(5)
-	g, err := graph.HubUndirected(96, 2, 16, rng)
+	g, err := experiments.HubGraph(96, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,20 +128,8 @@ func BenchmarkE6DistanceProduct(b *testing.B) {
 	rng := xrand.New(6)
 	for _, m := range []int64{8, 128} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			mk := func(r *xrand.Source) *matrix.Matrix {
-				mat := matrix.New(6)
-				for i := 0; i < 6; i++ {
-					for j := 0; j < 6; j++ {
-						if r.Bool(0.2) {
-							continue
-						}
-						mat.Set(i, j, r.Int64N(2*m+1)-m)
-					}
-				}
-				return mat
-			}
-			x := mk(rng.SplitN("a", int(m)))
-			y := mk(rng.SplitN("b", int(m)))
+			x := experiments.FiniteMatrix(6, m, rng.SplitN("a", int(m)))
+			y := experiments.FiniteMatrix(6, m, rng.SplitN("b", int(m)))
 			var steps int
 			for i := 0; i < b.N; i++ {
 				_, stats, err := distprod.Product(x, y, distprod.Options{Solver: distprod.SolverDolev, Seed: uint64(i)})
@@ -242,7 +148,10 @@ func BenchmarkE6DistanceProduct(b *testing.B) {
 func BenchmarkE7Squaring(b *testing.B) {
 	for _, n := range []int{32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := benchDigraph(b, n)
+			g, err := experiments.APSPDigraph(n, 8, uint64(n))
+			if err != nil {
+				b.Fatal(err)
+			}
 			ag := matrix.FromDigraph(g)
 			var products int
 			for i := 0; i < b.N; i++ {
@@ -262,20 +171,7 @@ func BenchmarkE7Squaring(b *testing.B) {
 func BenchmarkE8Router(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := xrand.New(uint64(n))
-			var msgs []congest.Message
-			srcLoad := make([]int, n)
-			dstLoad := make([]int, n)
-			for i := 0; i < 50*n; i++ {
-				s := rng.IntN(n)
-				d := rng.IntN(n)
-				if s == d || srcLoad[s] >= n || dstLoad[d] >= n {
-					continue
-				}
-				srcLoad[s]++
-				dstLoad[d]++
-				msgs = append(msgs, congest.Message{Src: congest.NodeID(s), Dst: congest.NodeID(d)})
-			}
+			msgs := experiments.RelayMessages(n, 1, xrand.New(uint64(n)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				batches, err := congest.BuildRelaySchedule(n, msgs)
@@ -308,8 +204,7 @@ func BenchmarkE9Covering(b *testing.B) {
 // BenchmarkE10IdentifyClass regenerates E10 (Proposition 5).
 func BenchmarkE10IdentifyClass(b *testing.B) {
 	params := triangles.PaperParams()
-	rng := xrand.New(10)
-	g, err := graph.RandomUndirected(81, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -10, MaxWeight: 12}, rng)
+	g, err := experiments.SignedGraph(81, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +225,10 @@ func BenchmarkE10IdentifyClass(b *testing.B) {
 // injection.
 func BenchmarkE11Congestion(b *testing.B) {
 	params := triangles.BenchParams()
-	g := benchTriangleGraph(b, 81)
+	g, err := experiments.TriangleGraph(81, 81)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var naive, balanced int64
 	for i := 0; i < b.N; i++ {
 		st, err := triangles.CongestionTrial(g, params, uint64(i))
@@ -364,7 +262,11 @@ func BenchmarkE12Grover(b *testing.B) {
 
 // BenchmarkPublicAPISolve exercises the public façade end to end.
 func BenchmarkPublicAPISolve(b *testing.B) {
-	g := toPublicDigraph(b, benchDigraph(b, 12))
+	inner, err := experiments.APSPDigraph(12, 8, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := toPublicDigraph(b, inner)
 	var rounds int64
 	for i := 0; i < b.N; i++ {
 		res, err := SolveAPSP(g, WithStrategy(Quantum), WithParams(ScaledConstants), WithSeed(uint64(i)))
@@ -384,7 +286,11 @@ func BenchmarkPublicAPISolve(b *testing.B) {
 func BenchmarkSolverAmortizedQueries(b *testing.B) {
 	const n = 8
 	const numQueries = 100
-	g := toPublicDigraph(b, benchDigraph(b, n))
+	inner, err := experiments.APSPDigraph(n, 8, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := toPublicDigraph(b, inner)
 	opts := []Option{WithStrategy(Quantum), WithParams(ScaledConstants), WithSeed(1)}
 	var queries []PathQuery
 	for i := 0; i < numQueries; i++ {
@@ -427,7 +333,11 @@ func BenchmarkSolverAmortizedQueries(b *testing.B) {
 // unchanged graph: content hash plus LRU lookup, zero simulator rounds.
 func BenchmarkSolverCachedResolve(b *testing.B) {
 	const n = 16
-	g := toPublicDigraph(b, benchDigraph(b, n))
+	inner, err := experiments.APSPDigraph(n, 8, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := toPublicDigraph(b, inner)
 	s := NewSolver(WithStrategy(Quantum), WithParams(ScaledConstants), WithSeed(1))
 	if _, err := s.Solve(g); err != nil {
 		b.Fatal(err)
@@ -503,7 +413,10 @@ func BenchmarkAblationRouting(b *testing.B) {
 // constants against the scaled preset on the same FindEdgesWithPromise
 // workload: same asymptotics, ~3× the message volume.
 func BenchmarkAblationConstants(b *testing.B) {
-	g := benchTriangleGraph(b, 81)
+	g, err := experiments.TriangleGraph(81, 81)
+	if err != nil {
+		b.Fatal(err)
+	}
 	presets := map[string]triangles.Params{
 		"paper":  triangles.PaperParams(),
 		"scaled": triangles.BenchParams(),
@@ -532,7 +445,10 @@ func BenchmarkAblationConstants(b *testing.B) {
 // against charge-only accounting (DataDirect): identical rounds by
 // construction, different wall-clock and memory.
 func BenchmarkAblationDataMode(b *testing.B) {
-	g := benchTriangleGraph(b, 81)
+	g, err := experiments.TriangleGraph(81, 81)
+	if err != nil {
+		b.Fatal(err)
+	}
 	params := triangles.BenchParams()
 	for _, mode := range []struct {
 		name string

@@ -1,12 +1,13 @@
-// Command bench runs the E1–E4 benchmark workloads (the paper's headline
-// measurements: full quantum APSP pipeline, FindEdgesWithPromise sweep,
-// truncated multi-search, and the approximate-APSP frontier comparing the
-// (1+ε) chain and (2+ε) skeleton against the exact pipeline on shared
-// graphs) and emits a machine-readable JSON report with ns/op, rounds/op,
-// observed stretch and allocation counts per configuration, so the
-// performance trajectory is tracked across PRs:
+// Command bench measures the gated E-series suite (experiments.Suite: the
+// full quantum APSP pipeline with its fixed-worker and transport × workers
+// variants, the FindEdgesWithPromise sweep, the approximate-APSP frontier
+// comparing the (1+ε) chain and (2+ε) skeleton against the exact pipeline
+// on shared graphs, and truncated multi-search) and emits a
+// machine-readable JSON report with ns/op, rounds/op, observed stretch and
+// allocation counts per configuration, so the performance trajectory is
+// tracked across changes:
 //
-//	go run ./cmd/bench -label "PR 2" -out BENCH_1.json
+//	go run ./cmd/bench -label "my change" -out BENCH_1.json
 //
 // It is also the CI regression gate ("Mind the Õ": round-accounting claims
 // only stay honest while they are continuously re-measured):
@@ -24,10 +25,7 @@
 //
 // Every APSP workload additionally passes the stage-sum gate on every run:
 // the engine's per-stage round breakdown must sum exactly to rounds/op.
-// -stages adds that breakdown as a column in the emitted report. -planner
-// adds the planner-accuracy column: one strategy=auto solve per bench
-// graph, recording which strategy the serving layer's planner chose and
-// how far its round prediction landed from the execution.
+// -stages adds that breakdown as a column in the emitted report.
 //
 // -cpuprofile / -memprofile write pprof profiles of the measurement run so
 // perf PRs can ship evidence alongside the report.
@@ -46,11 +44,9 @@ import (
 	"qclique/internal/congest"
 	"qclique/internal/core"
 	"qclique/internal/engine"
+	"qclique/internal/experiments"
 	"qclique/internal/graph"
-	"qclique/internal/qsearch"
-	"qclique/internal/serve"
 	"qclique/internal/triangles"
-	"qclique/internal/xrand"
 )
 
 // roundsSeed is the pinned seed at which rounds/op is measured; timing
@@ -89,274 +85,14 @@ type StageRound struct {
 	Rounds int64  `json:"rounds"`
 }
 
-// PlannerResult is one graph's planner-accuracy row (-planner): the
-// strategy a serving-layer planner chose for a strategy=auto solve of the
-// bench graph, and how its round prediction compared with the execution.
-type PlannerResult struct {
-	Name            string  `json:"name"`
-	Chosen          string  `json:"chosen"`
-	Reason          string  `json:"reason"`
-	PredictedRounds int64   `json:"predicted_rounds"`
-	ActualRounds    int64   `json:"actual_rounds"`
-	RoundsErrorPct  float64 `json:"rounds_error_pct"`
-}
-
-// Report is the emitted document. Planner is the -planner column; like
-// -stages it is additive and omitted by default so existing baselines stay
-// byte-comparable.
+// Report is the emitted document.
 type Report struct {
-	Label      string          `json:"label"`
-	GoVersion  string          `json:"go"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Timestamp  string          `json:"timestamp"`
-	RoundsSeed uint64          `json:"rounds_seed"`
-	Benchmarks []Result        `json:"benchmarks"`
-	Planner    []PlannerResult `json:"planner,omitempty"`
-}
-
-// runOut is one workload execution's deterministic measurements: the
-// simulated round count, the observed stretch (0 for exact workloads) and
-// — for APSP workloads that run through the engine — the per-stage round
-// breakdown, whose sum the gate pins to the round total.
-type runOut struct {
-	rounds  int64
-	stretch float64
-	stages  []engine.StageStat
-}
-
-// benchConfig is one measurable configuration: run executes the workload
-// once under a seed; every runOut field is deterministic seed-for-seed.
-type benchConfig struct {
-	name string
-	run  func(seed uint64) (runOut, error)
-}
-
-// solveRun adapts a core solve into a bench workload. reportStretch
-// selects whether the observed stretch becomes the accuracy column (the
-// approximate configurations) or stays 0 (exact workloads, where accuracy
-// is not a variable).
-func solveRun(g *graph.Digraph, cfg core.Config, reportStretch bool) func(seed uint64) (runOut, error) {
-	return func(seed uint64) (runOut, error) {
-		c := cfg
-		c.Seed = seed
-		res, err := core.Solve(g, c)
-		if err != nil {
-			return runOut{}, err
-		}
-		out := runOut{rounds: res.Rounds, stages: res.Stages}
-		if reportStretch {
-			out.stretch = res.ObservedStretch
-		}
-		return out, nil
-	}
-}
-
-func benchDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: -8, MaxWeight: 8, NoNegativeCycles: true,
-	}, xrand.New(uint64(n)))
-}
-
-func benchTriangleGraph(n int) (*graph.Undirected, error) {
-	rng := xrand.New(uint64(n))
-	g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40}, rng)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := graph.PlantNegativeTriangles(g, 1+n/16, 30, rng.Split("p")); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// benchNonnegDigraph is the E4 workload: the E1 density with nonnegative
-// weights, the input class the approximate strategies accept, so exact and
-// approximate pipelines can be compared on the same graph.
-func benchNonnegDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.4, MinWeight: 0, MaxWeight: 8,
-	}, xrand.New(uint64(n)))
-}
-
-// benchSymmetricDigraph is the skeleton-strategy workload: sparse,
-// weight-symmetric, nonnegative.
-func benchSymmetricDigraph(n int) (*graph.Digraph, error) {
-	return graph.RandomSymmetricDigraph(n, graph.DigraphOpts{
-		ArcProb: 0.15, MinWeight: 1, MaxWeight: 20,
-	}, xrand.New(uint64(n)))
-}
-
-// sweepWorkers is the worker ladder of the transport sweep: the fixed
-// 1/2/4 rungs every host measures identically (so baselines stay
-// machine-portable), plus this host's GOMAXPROCS when it is not already a
-// rung. A GOMAXPROCS-only rung shows up in the report as a new benchmark
-// (a note, not a gate failure) on hosts with other core counts.
-func sweepWorkers() []int {
-	ws := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 4 {
-		ws = append(ws, p)
-	}
-	return ws
-}
-
-// e1Sizes mirrors BenchmarkE1APSPQuantum; quick mode drops the slow tail.
-func e1Sizes(quick bool) []int {
-	if quick {
-		return []int{8, 16}
-	}
-	return []int{8, 16, 32, 64, 128}
-}
-
-// benchConfigs assembles the E1–E3 workload matrix.
-func benchConfigs(quick bool) ([]benchConfig, error) {
-	var configs []benchConfig
-	params := triangles.BenchParams()
-
-	// E1: full quantum APSP pipeline (Theorem 1).
-	for _, n := range e1Sizes(quick) {
-		g, err := benchDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E1APSPQuantum/n=%d", n),
-			run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params}, false),
-		})
-	}
-
-	// E1 with host parallelism: the same pipeline at a fixed Workers > 1,
-	// so every report carries multi-worker evidence regardless of the
-	// host's core count (rounds are worker-invariant by construction — the
-	// gate checks that too).
-	if !quick {
-		for _, n := range []int{32, 64} {
-			g, err := benchDigraph(n)
-			if err != nil {
-				return nil, err
-			}
-			configs = append(configs, benchConfig{
-				name: fmt.Sprintf("E1APSPQuantum/n=%d/workers=4", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params, Workers: 4}, false),
-			})
-		}
-	}
-
-	// E1 transport × workers sweep: the same quantum pipeline on every
-	// delivery backend at each rung of the worker ladder. Rounds are
-	// transport- and worker-invariant by the backend contract — the
-	// transport-parity gate (transportParityFailures) fails the run if the
-	// sharded backend's rounds drift from local's at any rung; ns/op across
-	// the rungs is the scaling evidence the follow-up notes read.
-	sweepN := 32
-	if quick {
-		sweepN = 16
-	}
-	for _, transport := range []string{congest.DefaultTransport, congest.TransportSharded} {
-		for _, w := range sweepWorkers() {
-			if quick && w > 2 {
-				continue
-			}
-			g, err := benchDigraph(sweepN)
-			if err != nil {
-				return nil, err
-			}
-			configs = append(configs, benchConfig{
-				name: fmt.Sprintf("E1TransportSweep/%s/n=%d/workers=%d", transport, sweepN, w),
-				run: solveRun(g, core.Config{
-					Strategy: core.StrategyQuantum, Params: &params,
-					Workers: w, Transport: transport,
-				}, false),
-			})
-		}
-	}
-
-	// E2: FindEdgesWithPromise sweep (Theorem 2).
-	for _, n := range []int{16, 81, 256} {
-		g, err := benchTriangleGraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E2FindEdgesPromise/n=%d", n),
-			run: func(seed uint64) (runOut, error) {
-				r, err := triangles.FindEdgesWithPromise(triangles.Instance{G: g}, triangles.Options{
-					Seed: seed, Params: &params, Data: triangles.DataDirect,
-				})
-				if err != nil {
-					return runOut{}, err
-				}
-				return runOut{rounds: r.Rounds}, nil
-			},
-		})
-	}
-
-	// E4: the approximate-APSP frontier. Exact quantum and the (1+ε)
-	// approximate chain run on the same nonnegative graph so rounds/op is
-	// an apples-to-apples comparison (the gate additionally requires the
-	// approximate chain to win — see approxWinFailures); the (2+ε)
-	// skeleton runs on its symmetric workload. ε = 0.5 throughout.
-	const e4Epsilon = 0.5
-	e4Sizes := []int{32, 64, 128}
-	if quick {
-		e4Sizes = []int{32}
-	}
-	for _, n := range e4Sizes {
-		g, err := benchNonnegDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs,
-			benchConfig{
-				name: fmt.Sprintf("E4APSPQuantumNonneg/n=%d", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyQuantum, Params: &params}, false),
-			},
-			benchConfig{
-				name: fmt.Sprintf("E4APSPApproxQuantum/n=%d/eps=0.5", n),
-				run:  solveRun(g, core.Config{Strategy: core.StrategyApproxQuantum, Params: &params, Epsilon: e4Epsilon}, true),
-			},
-		)
-		gs, err := benchSymmetricDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E4APSPApproxSkeleton/n=%d/eps=0.5", n),
-			run:  solveRun(gs, core.Config{Strategy: core.StrategyApproxSkeleton, Epsilon: e4Epsilon}, true),
-		})
-	}
-
-	// E3: truncated parallel multi-search (Theorem 3).
-	for _, m := range []int{4000, 8000} {
-		const size = 8
-		rng := xrand.New(uint64(m))
-		tables := make([][]bool, m)
-		for i := range tables {
-			tables[i] = make([]bool, size)
-			tables[i][rng.IntN(size)] = true
-		}
-		beta := 8*float64(m)/size + 64
-		base := xrand.New(uint64(m))
-		configs = append(configs, benchConfig{
-			name: fmt.Sprintf("E3MultiSearch/m=%d", m),
-			run: func(seed uint64) (runOut, error) {
-				nw, err := congest.NewNetwork(size)
-				if err != nil {
-					return runOut{}, err
-				}
-				res, err := qsearch.MultiSearch(nw, qsearch.Spec{
-					SpaceSize: size, Instances: m, Eval: qsearch.LocalEval(tables, 1), Beta: beta,
-				}, base.SplitN("i", int(seed)))
-				if err != nil {
-					return runOut{}, err
-				}
-				if !res.AllFound() {
-					return runOut{}, fmt.Errorf("search failed")
-				}
-				return runOut{rounds: nw.Rounds()}, nil
-			},
-		})
-	}
-	return configs, nil
+	Label      string   `json:"label"`
+	GoVersion  string   `json:"go"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	Timestamp  string   `json:"timestamp"`
+	RoundsSeed uint64   `json:"rounds_seed"`
+	Benchmarks []Result `json:"benchmarks"`
 }
 
 // measure records cfg's deterministic round count at the pinned seed plus
@@ -366,13 +102,13 @@ func benchConfigs(quick bool) ([]benchConfig, error) {
 // per-stage breakdown additionally pass through the stage-sum gate: the
 // stage rounds must sum exactly to rounds/op, every run, or the engine's
 // stage accounting has drifted from the network's.
-func measure(cfg benchConfig, withStages bool) (Result, error) {
-	var pinned runOut
+func measure(cfg experiments.Bench, withStages bool) (Result, error) {
+	var pinned experiments.BenchOut
 	var benchErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := cfg.run(uint64(i))
+			out, err := cfg.Run(uint64(i))
 			if err != nil {
 				benchErr = err
 				b.Fatal(err)
@@ -383,26 +119,26 @@ func measure(cfg benchConfig, withStages bool) (Result, error) {
 		}
 	})
 	if benchErr != nil {
-		return Result{}, fmt.Errorf("%s: %w", cfg.name, benchErr)
+		return Result{}, fmt.Errorf("%s: %w", cfg.Name, benchErr)
 	}
-	if len(pinned.stages) > 0 {
-		if sum := engine.SumRounds(pinned.stages); sum != pinned.rounds {
+	if len(pinned.Stages) > 0 {
+		if sum := engine.SumRounds(pinned.Stages); sum != pinned.Rounds {
 			return Result{}, fmt.Errorf("%s: per-stage rounds sum %d != rounds/op %d — the engine's stage accounting drifted from the network total",
-				cfg.name, sum, pinned.rounds)
+				cfg.Name, sum, pinned.Rounds)
 		}
 	}
 	res := Result{
-		Name:         cfg.name,
+		Name:         cfg.Name,
 		Iterations:   r.N,
 		NsPerOp:      float64(r.T.Nanoseconds()) / float64(r.N),
-		RoundsPerOp:  float64(pinned.rounds),
-		StretchPerOp: pinned.stretch,
+		RoundsPerOp:  float64(pinned.Rounds),
+		StretchPerOp: pinned.Stretch,
 		BytesPerOp:   r.AllocedBytesPerOp(),
 		AllocsPerOp:  r.AllocsPerOp(),
 		Gomaxprocs:   runtime.GOMAXPROCS(0),
 	}
 	if withStages {
-		for _, sg := range pinned.stages {
+		for _, sg := range pinned.Stages {
 			if sg.Skipped {
 				continue
 			}
@@ -410,49 +146,6 @@ func measure(cfg benchConfig, withStages bool) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// plannerAccuracy runs a strategy=auto solve of each E1-sized bench graph
-// through a fresh serving instance and reports the planner's decision next
-// to the executed rounds — the -planner column. A fresh instance has no
-// live telemetry, so this measures the static cost priors, the worst case
-// the planner starts from.
-func plannerAccuracy(quick bool) ([]PlannerResult, error) {
-	sizes := []int{16, 32, 64}
-	if quick {
-		sizes = []int{16, 32}
-	}
-	svc := serve.New(serve.Config{DefaultStrategy: core.StrategyAuto})
-	var out []PlannerResult
-	for _, n := range sizes {
-		g, err := benchDigraph(n)
-		if err != nil {
-			return nil, err
-		}
-		res, err := svc.SolveGraph(g, serve.SolveSpec{Preset: serve.PresetScaled, Seed: roundsSeed})
-		if err != nil {
-			return nil, err
-		}
-		if res.Plan == nil {
-			return nil, fmt.Errorf("planner/apsp/n=%d: auto solve returned no plan", n)
-		}
-		pr := PlannerResult{
-			Name:            fmt.Sprintf("planner/apsp/n=%d", n),
-			Chosen:          res.Plan.Strategy,
-			Reason:          res.Plan.Reason,
-			PredictedRounds: res.Plan.PredictedRounds,
-			ActualRounds:    res.Res.Rounds,
-		}
-		if pr.ActualRounds > 0 {
-			diff := float64(pr.PredictedRounds - pr.ActualRounds)
-			if diff < 0 {
-				diff = -diff
-			}
-			pr.RoundsErrorPct = 100 * diff / float64(pr.ActualRounds)
-		}
-		out = append(out, pr)
-	}
-	return out, nil
 }
 
 func buildReport(label string, quick, withStages bool) (*Report, error) {
@@ -463,11 +156,11 @@ func buildReport(label string, quick, withStages bool) (*Report, error) {
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		RoundsSeed: roundsSeed,
 	}
-	configs, err := benchConfigs(quick)
+	suite, err := experiments.Suite(quick)
 	if err != nil {
 		return nil, err
 	}
-	for _, cfg := range configs {
+	for _, cfg := range suite {
 		res, err := measure(cfg, withStages)
 		if err != nil {
 			return nil, err
@@ -477,13 +170,6 @@ func buildReport(label string, quick, withStages bool) (*Report, error) {
 	return rep, nil
 }
 
-// compareReports checks current against baseline: any rounds/op deviation
-// is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
-// failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
-// profile is nearly deterministic, so growth means a pooling regression),
-// and baseline entries missing from the current run are a failure unless
-// partial (quick mode). It returns the failures and a human log of every
-// comparison.
 // entryGomaxprocs resolves the effective GOMAXPROCS one entry was measured
 // under: the per-entry column when present, the report header otherwise
 // (baselines predating the column).
@@ -494,6 +180,13 @@ func entryGomaxprocs(r Result, rep *Report) int {
 	return rep.GOMAXPROCS
 }
 
+// compareReports checks current against baseline: any rounds/op deviation
+// is a failure (rounds are deterministic), ns/op beyond maxSlowdown× is a
+// failure, allocs/op beyond maxAllocGrowth× is a failure (the allocation
+// profile is nearly deterministic, so growth means a pooling regression),
+// and baseline entries missing from the current run are a failure unless
+// partial (quick mode). It returns the failures and a human log of every
+// comparison.
 func compareReports(baseline, current *Report, maxSlowdown, maxAllocGrowth float64, partial bool) (failures, log []string) {
 	base := make(map[string]Result, len(baseline.Benchmarks))
 	for _, r := range baseline.Benchmarks {
@@ -676,15 +369,16 @@ func runFaultMode(label, out string) error {
 	type sc struct {
 		strategy core.Strategy
 		epsilon  float64
-		build    func(n int) (*graph.Digraph, error)
+		build    func(n int, seed uint64) (*graph.Digraph, error)
 	}
+	e1 := func(n int, seed uint64) (*graph.Digraph, error) { return experiments.APSPDigraph(n, 8, seed) }
 	matrix := []sc{
-		{core.StrategyQuantum, 0, benchDigraph},
-		{core.StrategyClassicalSearch, 0, benchDigraph},
-		{core.StrategyDolev, 0, benchDigraph},
-		{core.StrategyGossip, 0, benchDigraph},
-		{core.StrategyApproxQuantum, eps, benchNonnegDigraph},
-		{core.StrategyApproxSkeleton, eps, benchSymmetricDigraph},
+		{core.StrategyQuantum, 0, e1},
+		{core.StrategyClassicalSearch, 0, e1},
+		{core.StrategyDolev, 0, e1},
+		{core.StrategyGossip, 0, e1},
+		{core.StrategyApproxQuantum, eps, experiments.NonnegDigraph},
+		{core.StrategyApproxSkeleton, eps, experiments.SymmetricDigraph},
 	}
 	rep := &FaultReport{
 		Label:     label,
@@ -694,7 +388,7 @@ func runFaultMode(label, out string) error {
 	}
 	for _, m := range matrix {
 		for _, n := range []int{8, 16} {
-			g, err := m.build(n)
+			g, err := m.build(n, uint64(n))
 			if err != nil {
 				return err
 			}
@@ -765,7 +459,6 @@ func main() {
 	label := flag.String("label", "dev", "label recorded in the report")
 	quick := flag.Bool("quick", false, "skip the slow large-n configurations")
 	stages := flag.Bool("stages", false, "include the per-stage round breakdown column in the report (the stage-sum gate runs regardless)")
-	planner := flag.Bool("planner", false, "include the planner-accuracy column: a strategy=auto solve per bench graph with the chosen strategy and round-prediction error")
 	check := flag.String("check", "", "compare against this baseline report and exit 1 on regression")
 	faults := flag.Bool("faults", false, "run the chaos matrix (every strategy under the fixed fault plan) instead of E1-E4 and emit a FaultReport")
 	maxSlowdown := flag.Float64("max-slowdown", 2.5, "ns/op regression tolerance for -check")
@@ -814,13 +507,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
-	}
-	if *planner {
-		rep.Planner, err = plannerAccuracy(*quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
 	}
 
 	if *memProfile != "" {

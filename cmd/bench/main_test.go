@@ -2,78 +2,48 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
-	"qclique/internal/engine"
+	"qclique/internal/experiments"
 )
 
-func TestWorkloadConstructors(t *testing.T) {
-	if _, err := benchDigraph(8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := benchTriangleGraph(16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestE1SizesQuickSubset(t *testing.T) {
-	full := e1Sizes(false)
-	quick := e1Sizes(true)
-	if len(quick) >= len(full) {
-		t.Fatalf("quick mode must drop configurations: quick=%v full=%v", quick, full)
-	}
-	if full[len(full)-1] < 32 {
-		t.Fatalf("full mode must include the n>=32 scaling cases, got %v", full)
-	}
-}
-
-// TestRoundsDeterministic pins the gate's core premise: the same
-// configuration at the same seed yields the same simulated round count.
-func TestRoundsDeterministic(t *testing.T) {
-	configs, err := benchConfigs(true)
+// TestSuiteCoversBaseline holds the catalog to the committed baseline:
+// every baseline entry must still be produced by the full suite, and the
+// only suite entries allowed without a baseline are the transport sweep's
+// GOMAXPROCS-only rungs. A renamed or dropped catalog entry then fails
+// here in seconds instead of in the multi-minute gate.
+func TestSuiteCoversBaseline(t *testing.T) {
+	baseline, err := loadReport("../../BENCH_1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := configs[0]
-	a, err := cfg.run(roundsSeed)
+	suite, err := experiments.Suite(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cfg.run(roundsSeed)
-	if err != nil {
-		t.Fatal(err)
+	inSuite := make(map[string]bool, len(suite))
+	for _, b := range suite {
+		inSuite[b.Name] = true
 	}
-	if a.rounds != b.rounds || a.stretch != b.stretch {
-		t.Fatalf("%s: (rounds, stretch) = (%d, %v) then (%d, %v) at the same seed",
-			cfg.name, a.rounds, a.stretch, b.rounds, b.stretch)
-	}
-}
-
-// TestStageSumGate pins the new invariant behind the -stages column: for
-// every APSP workload, the engine's per-stage rounds sum exactly to the
-// round total — measure enforces it on every run.
-func TestStageSumGate(t *testing.T) {
-	configs, err := benchConfigs(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, cfg := range configs {
-		out, err := cfg.run(roundsSeed)
-		if err != nil {
-			t.Fatal(err)
+	inBaseline := make(map[string]bool, len(baseline.Benchmarks))
+	for _, r := range baseline.Benchmarks {
+		inBaseline[r.Name] = true
+		if !inSuite[r.Name] {
+			t.Errorf("baseline entry %s is not produced by experiments.Suite(false)", r.Name)
 		}
-		if len(out.stages) == 0 {
+	}
+	hostRung := fmt.Sprintf("/workers=%d", runtime.GOMAXPROCS(0))
+	for _, b := range suite {
+		if inBaseline[b.Name] {
 			continue
 		}
-		checked++
-		if sum := engine.SumRounds(out.stages); sum != out.rounds {
-			t.Errorf("%s: stage rounds sum %d != total %d", cfg.name, sum, out.rounds)
+		if strings.HasPrefix(b.Name, "E1TransportSweep/") && strings.HasSuffix(b.Name, hostRung) {
+			continue
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no workload reported stage telemetry; the stage-sum gate is vacuous")
+		t.Errorf("suite entry %s has no baseline and is not a GOMAXPROCS-only sweep rung", b.Name)
 	}
 }
 
@@ -205,37 +175,6 @@ func TestTransportParityFailures(t *testing.T) {
 	unpaired := report(Result{Name: "E1TransportSweep/local/n=32/workers=4", RoundsPerOp: 700})
 	if failures := transportParityFailures(unpaired); len(failures) != 0 {
 		t.Fatalf("unpaired entry flagged: %v", failures)
-	}
-}
-
-func TestSweepWorkersLadder(t *testing.T) {
-	ws := sweepWorkers()
-	if len(ws) < 3 || ws[0] != 1 || ws[1] != 2 || ws[2] != 4 {
-		t.Fatalf("sweepWorkers() = %v, want the fixed 1/2/4 prefix", ws)
-	}
-	seen := map[int]bool{}
-	for _, w := range ws {
-		if seen[w] {
-			t.Fatalf("sweepWorkers() = %v contains duplicate rung %d", ws, w)
-		}
-		seen[w] = true
-	}
-}
-
-func TestE4WorkloadConstructors(t *testing.T) {
-	g, err := benchNonnegDigraph(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.HasNegativeArc() {
-		t.Error("E4 workload must be nonnegative")
-	}
-	gs, err := benchSymmetricDigraph(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gs.IsSymmetric() || gs.HasNegativeArc() {
-		t.Error("E4 skeleton workload must be symmetric and nonnegative")
 	}
 }
 

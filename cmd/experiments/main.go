@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"qclique"
 	"qclique/internal/experiments"
 )
 
@@ -35,20 +34,9 @@ func run(args []string) error {
 		quick    = fs.Bool("quick", false, "smaller sweeps")
 		seed     = fs.Uint64("seed", 42, "randomness seed")
 		markdown = fs.Bool("markdown", false, "emit one markdown section per experiment (claim, measurement, table)")
-		strategy = fs.String("strategy", "", "\"list\" enumerates every registered pipeline with its stretch guarantee (experiments otherwise pin their own strategies)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *strategy != "" {
-		// The experiment suite pins strategies per experiment (each
-		// reproduces a specific claim), so the flag exists to enumerate
-		// the registry — the same source of truth cmd/apsp solves from.
-		if *strategy != "list" {
-			return fmt.Errorf("experiments pin their own strategies; -strategy only accepts \"list\" (got %q)", *strategy)
-		}
-		fmt.Print(qclique.FormatStrategyList())
-		return nil
 	}
 	cfg := experiments.Config{Quick: *quick, Seed: *seed}
 

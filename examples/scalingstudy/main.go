@@ -8,10 +8,9 @@ import (
 	"fmt"
 	"log"
 
+	"qclique/internal/experiments"
 	"qclique/internal/expfit"
-	"qclique/internal/graph"
 	"qclique/internal/triangles"
-	"qclique/internal/xrand"
 )
 
 func main() {
@@ -24,14 +23,8 @@ func main() {
 	calls := expfit.NewTable("n", "|X|=√n", "quantum oracle calls", "classical oracle calls")
 
 	for _, n := range sizes {
-		rng := xrand.New(uint64(n))
-		g, err := graph.RandomUndirected(n, graph.UndirectedOpts{
-			EdgeProb: 0.15, MinWeight: 1, MaxWeight: 40,
-		}, rng)
+		g, err := experiments.TriangleGraph(n, uint64(n))
 		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := graph.PlantNegativeTriangles(g, 1+n/16, 30, rng.Split("p")); err != nil {
 			log.Fatal(err)
 		}
 
@@ -63,11 +56,7 @@ func main() {
 		for _, st := range c.Classes {
 			cc += st.EvalCalls
 		}
-		sq := 0
-		for (sq+1)*(sq+1) <= n {
-			sq++
-		}
-		calls.AddF(n, sq, qc, cc)
+		calls.AddF(n, experiments.Isqrt(n), qc, cc)
 	}
 
 	fmt.Println("FindEdgesWithPromise rounds by strategy:")

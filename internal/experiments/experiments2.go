@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"qclique/internal/congest"
 	"qclique/internal/distprod"
 	"qclique/internal/expfit"
 	"qclique/internal/graph"
@@ -34,12 +35,8 @@ func runE3(cfg Config) (*Result, error) {
 		preconds := quantum.Theorem3Preconditions(rg.m, rg.x, beta)
 		for run := 0; run < runs; run++ {
 			r := rng.SplitN("run", rg.m*100+run)
-			tables := make([][]bool, rg.m)
-			for i := range tables {
-				tables[i] = make([]bool, rg.x)
-				tables[i][r.IntN(rg.x)] = true
-			}
-			nw, err := newTestNet(8)
+			tables := SearchTables(rg.m, rg.x, r)
+			nw, err := congest.NewNetwork(8)
 			if err != nil {
 				return nil, err
 			}
@@ -100,8 +97,7 @@ func runE5(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "promise calls", "1+⌈log₂(n/(c·ln n))⌉ bound", "max Γ", "exact")
 	ok := true
 	for _, n := range sizes {
-		rng := xrand.New(cfg.Seed + uint64(n))
-		g, err := graph.HubUndirected(n, 2, n/6, rng)
+		g, err := HubGraph(n, cfg.Seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -150,8 +146,8 @@ func runE6(cfg Config) (*Result, error) {
 	ok := true
 	for _, m := range ms {
 		n := 6
-		a := randomFiniteMatrix(n, m, rng.SplitN("a", int(m)))
-		b := randomFiniteMatrix(n, m, rng.SplitN("b", int(m)))
+		a := FiniteMatrix(n, m, rng.SplitN("a", int(m)))
+		b := FiniteMatrix(n, m, rng.SplitN("b", int(m)))
 		want, err := matrix.DistanceProduct(a, b)
 		if err != nil {
 			return nil, err
@@ -176,19 +172,6 @@ func runE6(cfg Config) (*Result, error) {
 	return out, nil
 }
 
-func randomFiniteMatrix(n int, maxAbs int64, rng *xrand.Source) *matrix.Matrix {
-	m := matrix.New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if rng.Bool(0.2) {
-				continue
-			}
-			m.Set(i, j, rng.Int64N(2*maxAbs+1)-maxAbs)
-		}
-	}
-	return m
-}
-
 // ---------------------------------------------------------------- E7
 
 func runE7(cfg Config) (*Result, error) {
@@ -199,7 +182,7 @@ func runE7(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "products", "⌈log₂ n⌉", "exact vs Floyd–Warshall")
 	ok := true
 	for _, n := range sizes {
-		g, err := apspWorkload(n, 10, cfg.Seed+uint64(n))
+		g, err := APSPDigraph(n, 10, cfg.Seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -292,8 +275,7 @@ func runE10(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "triples", "within Prop-5 interval", "max class", "aborted")
 	ok := true
 	for _, n := range sizes {
-		rng := xrand.New(cfg.Seed + uint64(n))
-		g, err := graph.RandomUndirected(n, graph.UndirectedOpts{EdgeProb: 0.5, MinWeight: -10, MaxWeight: 12}, rng)
+		g, err := SignedGraph(n, cfg.Seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -333,7 +315,7 @@ func runE11(cfg Config) (*Result, error) {
 	tab := expfit.NewTable("n", "instances", "naive max-link load", "balanced max-link load", "slot cap", "reduction")
 	ok := true
 	for _, n := range sizes {
-		g, err := triangleWorkload(n, cfg.Seed+uint64(n))
+		g, err := TriangleGraph(n, cfg.Seed+uint64(n))
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +326,7 @@ func runE11(cfg Config) (*Result, error) {
 		if st.NaiveMaxLinkLoad <= st.BalancedMaxLinkLoad {
 			ok = false
 		}
-		ratio := float64(st.NaiveMaxLinkLoad) / float64(maxI64(st.BalancedMaxLinkLoad, 1))
+		ratio := float64(st.NaiveMaxLinkLoad) / float64(max(st.BalancedMaxLinkLoad, 1))
 		tab.AddF(n, st.Instances, st.NaiveMaxLinkLoad, st.BalancedMaxLinkLoad, st.SlotCap,
 			fmt.Sprintf("%.1fx", ratio))
 	}
@@ -355,11 +337,4 @@ func runE11(cfg Config) (*Result, error) {
 		Summary:    fmt.Sprintf("balanced schedule strictly reduces the hottest link: %v", ok),
 	}
 	return out, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
